@@ -5,7 +5,7 @@
 //! whose capacity depends only on the machine configuration and the
 //! program's footprint: the ROB ring, the fetch buffer, the backend-exit
 //! queue, the squash-replay scratch, the issue-candidate list, the
-//! in-flight [`DynInst`] pool, the store-register-queue ring, and the
+//! in-flight [`DynInst`] ring, the store-register-queue ring, and the
 //! tracer's paged last-writer map. Constructing a session from scratch
 //! allocates all of them; a campaign running thousands of jobs pays that
 //! cost — and the attendant page faults — per job.
@@ -47,12 +47,6 @@ pub struct SimArena {
     /// via [`Tracer::with_arena`](nosq_trace::Tracer::with_arena).
     pub trace: LastWriterMap,
     pub(crate) core: CoreBuffers,
-    /// Per-lane buffer partitions for fused replay
-    /// ([`LaneSet`](crate::LaneSet)): lane `i` of a fused run takes
-    /// `lanes[i]`, so N lockstep simulators recycle N disjoint buffer
-    /// sets from one arena. Grown on demand; solo sessions never touch
-    /// it.
-    pub(crate) lanes: Vec<CoreBuffers>,
 }
 
 impl SimArena {
@@ -67,15 +61,15 @@ impl SimArena {
 /// taken wholesale by a session and returned at `finish`.
 #[derive(Default)]
 pub(crate) struct CoreBuffers {
-    /// In-flight dynamic-instruction slab.
-    pub(crate) insts: InstPool,
+    /// In-flight dynamic instructions.
+    pub(crate) insts: InstRing,
     /// The reorder buffer ring.
     pub(crate) rob: Ring<Entry>,
     /// Fetched-but-not-dispatched instructions.
     pub(crate) fetch: Ring<Fetched>,
     /// Backend-exit (commit-pipeline drain) deadlines.
     pub(crate) exits: Ring<u64>,
-    /// Squash-replay queue of instruction-pool indices.
+    /// Squash-replay queue of trace positions.
     pub(crate) pending: Ring<u32>,
     /// Squash / observer scratch entries.
     pub(crate) scratch: Vec<Entry>,
@@ -96,7 +90,7 @@ impl CoreBuffers {
     /// Clears every buffer's *contents* while keeping its capacity —
     /// the per-session reset.
     pub(crate) fn clear(&mut self) {
-        self.insts.clear();
+        self.insts.reset(0);
         self.rob.clear();
         self.fetch.clear();
         self.exits.clear();
@@ -111,74 +105,81 @@ impl CoreBuffers {
     }
 }
 
-/// Index-addressed slab of in-flight [`DynInst`]s with a free list.
+/// The in-flight [`DynInst`]s, keyed by trace position (`seq`).
 ///
-/// The pipeline stores each dynamic instruction exactly once, here, and
-/// passes 4-byte indices through the fetch buffer, ROB and replay
-/// queues instead of ~150-byte `DynInst` copies.
-#[derive(Clone, Default)]
-pub(crate) struct InstPool {
+/// Fetch decodes each instruction once, into slot `seq & mask`, and the
+/// pipeline passes 4-byte positions through the fetch buffer, ROB and
+/// replay queues instead of 136-byte `DynInst` copies. Commit retires
+/// in program order and squashed instructions stay live in the replay
+/// queue, so the live window is always the contiguous range
+/// `[base, end)`; the ring doubles when a push would overwrite a live
+/// slot. Positions are `u32` and wrap, so only the window (not the
+/// trace) must fit in 32 bits.
+#[derive(Default)]
+pub(crate) struct InstRing {
+    /// Power-of-two slot array (empty until the first push).
     slots: Vec<DynInst>,
-    free: Vec<u32>,
-    /// Debug-build liveness tracking: `live[i]` iff slot `i` is
-    /// allocated. Turns double-release and use-after-release into
-    /// immediate assertion failures under `cargo test`; absent from
-    /// release builds entirely.
-    #[cfg(debug_assertions)]
-    live: Vec<bool>,
+    /// Oldest live position.
+    base: u32,
+    /// The position the next push occupies.
+    end: u32,
 }
 
-impl InstPool {
-    /// Stores `d`, returning its slot index.
-    pub(crate) fn alloc(&mut self, d: DynInst) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = d;
-                #[cfg(debug_assertions)]
-                {
-                    debug_assert!(!self.live[i as usize], "free list held a live slot");
-                    self.live[i as usize] = true;
-                }
-                i
-            }
-            None => {
-                self.slots.push(d);
-                #[cfg(debug_assertions)]
-                self.live.push(true);
-                (self.slots.len() - 1) as u32
-            }
-        }
+impl InstRing {
+    /// Empties the ring, keeping capacity; the next push is position
+    /// `start`.
+    pub(crate) fn reset(&mut self, start: u32) {
+        self.base = start;
+        self.end = start;
     }
 
-    /// Releases a slot for reuse. The caller must not touch `idx`
-    /// afterwards.
-    pub(crate) fn release(&mut self, idx: u32) {
-        debug_assert!((idx as usize) < self.slots.len());
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(self.live[idx as usize], "double release of pool slot {idx}");
-            self.live[idx as usize] = false;
+    /// Stores `d` at the next position and returns that position.
+    #[inline]
+    pub(crate) fn push(&mut self, d: DynInst) -> u32 {
+        let pos = self.end;
+        debug_assert_eq!(d.seq as u32, pos, "in-flight instructions arrive in order");
+        if pos.wrapping_sub(self.base) as usize == self.slots.len() {
+            self.grow(d);
         }
-        self.free.push(idx);
+        let mask = self.slots.len() - 1;
+        self.slots[pos as usize & mask] = d;
+        self.end = pos.wrapping_add(1);
+        pos
     }
 
-    /// Drops all slots, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        #[cfg(debug_assertions)]
-        self.live.clear();
+    /// Doubles the slot array, re-placing the live window. `fill`
+    /// occupies the dead slots, which are never read.
+    fn grow(&mut self, fill: DynInst) {
+        let cap = (self.slots.len() * 2).max(64);
+        let mut slots = vec![fill; cap];
+        let mut pos = self.base;
+        while pos != self.end {
+            slots[pos as usize & (cap - 1)] = self[pos];
+            pos = pos.wrapping_add(1);
+        }
+        self.slots = slots;
+    }
+
+    /// Retires the oldest live instruction, which must be `pos`.
+    #[inline]
+    pub(crate) fn retire(&mut self, pos: u32) {
+        debug_assert_eq!(pos, self.base, "retire out of program order");
+        self.base = self.base.wrapping_add(1);
     }
 }
 
-impl std::ops::Index<u32> for InstPool {
+impl std::ops::Index<u32> for InstRing {
     type Output = DynInst;
 
     #[inline]
-    fn index(&self, idx: u32) -> &DynInst {
-        #[cfg(debug_assertions)]
-        debug_assert!(self.live[idx as usize], "read of released pool slot {idx}");
-        &self.slots[idx as usize]
+    fn index(&self, pos: u32) -> &DynInst {
+        debug_assert!(
+            pos.wrapping_sub(self.base) < self.end.wrapping_sub(self.base),
+            "read of position {pos} outside the live window [{}, {})",
+            self.base,
+            self.end
+        );
+        &self.slots[pos as usize & (self.slots.len() - 1)]
     }
 }
 
@@ -472,20 +473,27 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_slots() {
-        let mut pool = InstPool::default();
+    fn inst_ring_grows_over_live_slots() {
         let program = {
             let mut asm = nosq_isa::Assembler::new();
             asm.halt();
             asm.finish()
         };
-        let d = nosq_trace::Tracer::new(&program, 1).next().unwrap();
-        let a = pool.alloc(d);
-        let b = pool.alloc(d);
-        assert_ne!(a, b);
-        pool.release(a);
-        let c = pool.alloc(d);
-        assert_eq!(c, a, "freed slot is recycled");
-        assert_eq!(pool[b].seq, d.seq);
+        let halt = nosq_trace::Tracer::new(&program, 1).next().unwrap();
+        let at = |seq: u64| nosq_trace::DynInst { seq, ..halt };
+        let mut ring = InstRing::default();
+        ring.reset(u32::MAX - 10); // positions wrap mid-window
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..200u64 {
+            let seq = u64::from(u32::MAX - 10) + i;
+            live.push_back(ring.push(at(seq)));
+            if i % 3 == 0 {
+                ring.retire(live.pop_front().unwrap());
+            }
+        }
+        assert_eq!(ring.slots.len(), 256, "grew only when the window filled");
+        for &pos in &live {
+            assert_eq!(ring[pos].seq as u32, pos);
+        }
     }
 }

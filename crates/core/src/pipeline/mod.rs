@@ -16,25 +16,23 @@
 //! # Datapath layout
 //!
 //! The hot-path state is flat and index-addressed: each in-flight
-//! [`DynInst`] is stored exactly once in a slab
-//! ([`InstPool`](crate::arena)) and travels through the fetch buffer,
-//! ROB, and squash-replay queue as a 4-byte index; the ROB and its
-//! sibling queues are power-of-two rings with stable absolute positions
-//! ([`Ring`](crate::arena)); and the issue stage walks a compact
-//! candidate list of ROB positions instead of rescanning every ROB
-//! entry each cycle. All of it is recyclable across sessions through
-//! [`SimArena`] / [`Simulator::with_arena`] — reuse never changes a
-//! report byte, only where the memory comes from.
+//! [`DynInst`] is decoded exactly once, at fetch, into a ring keyed by
+//! its trace position ([`InstRing`](crate::arena)) and travels through
+//! the fetch buffer, ROB, and squash-replay queue as that 4-byte
+//! position; the ROB and its sibling queues are power-of-two rings
+//! with stable absolute positions ([`Ring`](crate::arena)); and the
+//! issue stage walks a compact candidate list of ROB positions instead
+//! of rescanning every ROB entry each cycle. All of it is recyclable
+//! across sessions through [`SimArena`] / [`Simulator::with_arena`] —
+//! reuse never changes a report byte, only where the memory comes from.
 
 mod ckpt;
-mod lanes;
 pub(crate) mod nodes;
 
 #[cfg(test)]
 mod tests;
 
 pub use ckpt::CkptError;
-pub use lanes::LaneSet;
 
 use nosq_isa::exec::load_extend;
 use nosq_isa::{Inst, InstClass, MemWidth, Memory, Program, Reg};
@@ -42,7 +40,7 @@ use nosq_trace::{Coverage, DynInst, TraceBuffer, Tracer};
 use nosq_uarch::branch::{Btb, HybridPredictor, ReturnAddressStack};
 use nosq_uarch::{MemoryHierarchy, Ssn, SsnCounters, StoreSets, Tlb, Tssbf, TssbfLookup};
 
-use crate::arena::{CoreBuffers, InstPool, Ring, SimArena};
+use crate::arena::{CoreBuffers, InstRing, Ring, SimArena};
 use crate::bypass::{bypass_value, needs_shift_mask};
 use crate::config::{LsuModel, Scheduling, SimConfig};
 use crate::observer::{
@@ -116,12 +114,12 @@ impl LoadPlan {
 }
 
 /// One ROB entry. The dynamic instruction itself lives in the
-/// [`InstPool`] slab; the entry carries its 4-byte index (plus a cached
-/// class, the one field the per-cycle loops touch constantly).
+/// [`InstRing`]; the entry carries its 4-byte trace position (plus a
+/// cached class, the one field the per-cycle loops touch constantly).
 #[derive(Clone, Debug)]
 pub(crate) struct Entry {
     uid: u64,
-    /// Index of this entry's [`DynInst`] in the instruction pool.
+    /// Trace position of this entry's [`DynInst`].
     inst: u32,
     /// Cached `DynInst::class`.
     class: InstClass,
@@ -215,90 +213,36 @@ const NO_WAITER: u32 = u32::MAX;
 /// Where the pipeline's dynamic instructions come from: a live
 /// [`Tracer`] (functional execution interleaved with timing) or a
 /// recorded [`TraceBuffer`] replay (functional work paid once, shared
-/// by many configurations). Both produce the identical stream.
+/// by many configurations). Both produce the identical stream; fetch
+/// pulls from it once per instruction, into the [`InstRing`].
 enum InstSource<'p> {
     Live(Box<Tracer<'p>>),
     Replay {
-        insts: &'p [DynInst],
+        trace: &'p TraceBuffer,
         next: usize,
         limit: usize,
     },
 }
 
-impl<'p> InstSource<'p> {
-    /// Pulls the next instruction as a slab index. Live tracing copies
-    /// the record into the pool; a replayed instruction's index *is*
-    /// its trace position, so replay never copies a `DynInst` at all.
+impl InstSource<'_> {
+    /// The next instruction of the stream, decoded.
     #[inline]
-    fn next_index(&mut self, slab: &mut InstSlab<'p>) -> Option<u32> {
+    fn next_inst(&mut self) -> Option<DynInst> {
         match self {
-            InstSource::Live(t) => {
-                let d = t.next()?;
-                match slab {
-                    InstSlab::Pool(pool) => Some(pool.alloc(d)),
-                    InstSlab::Trace { .. } => unreachable!("live source pairs with a pool slab"),
-                }
-            }
-            InstSource::Replay { next, limit, .. } => {
+            InstSource::Live(t) => t.next(),
+            InstSource::Replay { trace, next, limit } => {
                 if *next >= *limit {
                     return None;
                 }
-                let idx = *next as u32;
+                let d = trace.inst(*next);
                 *next += 1;
-                Some(idx)
+                Some(d)
             }
         }
     }
 }
 
-/// Backing storage for in-flight [`DynInst`]s, addressed by the 4-byte
-/// indices that travel through the fetch buffer, ROB, and replay queue.
-///
-/// Live tracing copies each instruction into a recycled
-/// [`InstPool`](crate::arena) slab and recycles slots at retire; replay
-/// addresses the recorded trace directly (the index is the trace
-/// position), with the arena's pool riding along idle so
-/// [`Simulator::finish`] can hand it back.
-enum InstSlab<'p> {
-    Pool(InstPool),
-    Trace {
-        insts: &'p [DynInst],
-        pool: InstPool,
-    },
-}
-
-impl InstSlab<'_> {
-    /// Returns a pool slot to the free list (a no-op for trace-backed
-    /// storage, whose slots are the immutable trace itself).
-    #[inline]
-    fn release(&mut self, idx: u32) {
-        if let InstSlab::Pool(pool) = self {
-            pool.release(idx);
-        }
-    }
-
-    /// Extracts the recyclable pool for the arena hand-back.
-    fn take_pool(&mut self) -> InstPool {
-        match self {
-            InstSlab::Pool(pool) => std::mem::take(pool),
-            InstSlab::Trace { pool, .. } => std::mem::take(pool),
-        }
-    }
-}
-
-impl std::ops::Index<u32> for InstSlab<'_> {
-    type Output = DynInst;
-
-    #[inline]
-    fn index(&self, idx: u32) -> &DynInst {
-        match self {
-            InstSlab::Pool(pool) => &pool[idx],
-            InstSlab::Trace { insts, .. } => &insts[idx as usize],
-        }
-    }
-}
-
-/// A fetched-but-not-dispatched instruction (pool index + front-end
+/// A fetched-but-not-dispatched instruction (trace position + front-end
 /// snapshots).
 #[derive(Clone, Debug)]
 pub(crate) struct Fetched {
@@ -420,9 +364,10 @@ pub struct Simulator<'p> {
     // Instruction supply.
     stream: InstSource<'p>,
     stream_done: bool,
-    /// In-flight dynamic instructions, stored once, addressed by index.
-    insts: InstSlab<'p>,
-    /// Squash-replay queue (pool indices, program order).
+    /// In-flight dynamic instructions, stored once, addressed by trace
+    /// position.
+    insts: InstRing,
+    /// Squash-replay queue (trace positions, program order).
     pending: Ring<u32>,
     fetch_buffer: Ring<Fetched>,
     // Window.
@@ -472,7 +417,7 @@ pub struct Simulator<'p> {
     stats: SimReport,
     observers: Vec<Box<dyn SimObserver + 'p>>,
     done: bool,
-    /// Batch mode ([`LaneSet`](crate::LaneSet) / sampling windows):
+    /// Batch mode (sampling windows):
     /// permits `run_until` to jump over provably idle cycle spans. Off
     /// for interactive sessions, whose per-cycle observer and predicate
     /// contracts require visiting every cycle.
@@ -554,7 +499,7 @@ impl<'p> Simulator<'p> {
             "replay indices are 4 bytes; budget {limit} does not fit"
         );
         InstSource::Replay {
-            insts: trace.insts(),
+            trace,
             next: 0,
             limit,
         }
@@ -586,27 +531,27 @@ impl<'p> Simulator<'p> {
         warm: &crate::sample::WarmState,
         core: Option<&'p mut CoreBuffers>,
     ) -> Simulator<'p> {
-        let insts = trace.insts();
         assert!(len >= 1, "sample window must contain an instruction");
         let end = offset.checked_add(len).expect("window end overflows");
         assert!(
-            end <= insts.len(),
+            end <= trace.len(),
             "window [{offset}, {end}) exceeds trace length {}",
-            insts.len()
+            trace.len()
         );
         assert!(
             end <= u32::MAX as usize,
             "replay indices are 4 bytes; window end {end} does not fit"
         );
         let stream = InstSource::Replay {
-            insts,
+            trace,
             next: offset,
             limit: end,
         };
         let mut sim = Simulator::build(program, cfg, stream, core);
+        sim.insts.reset(offset as u32);
         sim.cycle_cap = 1_000_000 + (len as u64).saturating_mul(300);
         sim.timing_mem = mem;
-        sim.ssn = SsnCounters::seeded(sim.cfg.machine.ssn_bits, insts[offset].stores_before);
+        sim.ssn = SsnCounters::seeded(sim.cfg.machine.ssn_bits, trace.inst(offset).stores_before);
         sim.hierarchy = warm.hierarchy.clone();
         sim.bpred = warm.bpred.clone();
         sim.btb = warm.btb.clone();
@@ -646,13 +591,6 @@ impl<'p> Simulator<'p> {
             srq,
         } = bufs;
         rob.reserve(m.rob_size);
-        let insts = match &stream {
-            InstSource::Live(_) => InstSlab::Pool(insts),
-            InstSource::Replay { insts: trace, .. } => InstSlab::Trace {
-                insts: trace,
-                pool: insts,
-            },
-        };
         Simulator {
             clock: 0,
             cycle_cap: 1_000_000 + cfg.max_insts.saturating_mul(300),
@@ -987,6 +925,23 @@ impl<'p> Simulator<'p> {
         sim.fault_bypass_seen = ckpt.fault_bypass_seen;
         sim.stats = ckpt.stats;
         sim.done = ckpt.done;
+        // Re-decode the in-flight window. Program order runs ROB, fetch
+        // buffer, replay queue, stream, so the oldest live position is
+        // the first of those that is non-empty.
+        let next = ckpt.stream_next as u32;
+        let oldest = sim
+            .rob
+            .front()
+            .map(|e| e.inst)
+            .or_else(|| sim.fetch_buffer.front().map(|f| f.inst))
+            .or_else(|| sim.pending.front().copied())
+            .unwrap_or(next);
+        sim.insts.reset(oldest);
+        let mut pos = oldest;
+        while pos != next {
+            sim.insts.push(trace.inst(pos as usize));
+            pos = pos.wrapping_add(1);
+        }
         sim
     }
 
@@ -1013,7 +968,7 @@ impl<'p> Simulator<'p> {
     fn release_buffers(&mut self) {
         if let Some(core) = self.arena_core.take() {
             *core = CoreBuffers {
-                insts: self.insts.take_pool(),
+                insts: std::mem::take(&mut self.insts),
                 rob: std::mem::take(&mut self.rob),
                 fetch: std::mem::take(&mut self.fetch_buffer),
                 exits: std::mem::take(&mut self.backend_exits),
@@ -1152,10 +1107,10 @@ impl<'p> Simulator<'p> {
                     };
                     self.emit(|o| o.on_squash(&ev));
                 }
-                self.insts.release(entry.inst);
+                self.insts.retire(entry.inst);
                 break;
             }
-            self.insts.release(entry.inst);
+            self.insts.retire(entry.inst);
         }
     }
 
@@ -1459,7 +1414,7 @@ impl<'p> Simulator<'p> {
             self.bpred.set_history(bh);
             self.ras.restore(ras);
         }
-        // Re-queue pool indices in program order: youngest first onto
+        // Re-queue trace positions in program order: youngest first onto
         // the front, so the queue reads oldest-to-youngest.
         while let Some(f) = self.fetch_buffer.pop_back() {
             self.pending.push_front(f.inst);
@@ -2288,8 +2243,8 @@ impl<'p> Simulator<'p> {
         while budget > 0 {
             let inst_idx = match self.pending.pop_front() {
                 Some(i) => i,
-                None => match self.stream.next_index(&mut self.insts) {
-                    Some(i) => i,
+                None => match self.stream.next_inst() {
+                    Some(d) => self.insts.push(d),
                     None => {
                         self.stream_done = true;
                         break;

@@ -188,8 +188,7 @@ pub fn sampled_replay_with_arena(
     plan: &SamplePlan,
     arena: &mut SimArena,
 ) -> SampledReport {
-    let insts = trace.insts();
-    let total = (insts.len() as u64).min(cfg.max_insts);
+    let total = (trace.len() as u64).min(cfg.max_insts);
     let span = total.saturating_sub(plan.warmup);
     // Each window's full extent includes its detailed-warming prefix.
     let extent = DETAIL_WARMUP + plan.interval;
@@ -214,7 +213,7 @@ pub fn sampled_replay_with_arena(
         // instruction; the warming prefix shrinks before the
         // measurement does.
         let detail = DETAIL_WARMUP.min(len - 1);
-        warm.fast_forward(&mut mem, &insts[cursor as usize..start as usize]);
+        warm.fast_forward(&mut mem, trace.iter_range(cursor as usize..start as usize));
         cursor = start;
         let mut sim = Simulator::replay_window(
             program,
@@ -284,9 +283,9 @@ impl WarmState {
     /// The functional fast-forward: applies each committed store's
     /// memory effect exactly as the pipeline's commit stage would, and
     /// trains every warmed structure from the trace records.
-    fn fast_forward(&mut self, mem: &mut Memory, insts: &[DynInst]) {
+    fn fast_forward(&mut self, mem: &mut Memory, insts: impl Iterator<Item = DynInst>) {
         for d in insts {
-            self.observe(d, mem);
+            self.observe(&d, mem);
         }
     }
 

@@ -32,7 +32,7 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// The outcome of executing one dynamic instruction.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ExecRecord {
     /// PC of the executed instruction.
     pub pc: u64,

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use nosq_check::sync::StdSync;
 use nosq_core::observer::{CycleEvent, SimObserver};
-use nosq_core::{LaneSet, SimArena, SimReport, Simulator, StopCondition};
+use nosq_core::{SimArena, SimReport, Simulator, StopCondition};
 use nosq_isa::Program;
 use nosq_trace::{synthesize, TraceBuffer};
 
@@ -53,15 +53,6 @@ pub struct RunOptions {
     pub chunk_cycles: u64,
     /// Print a live progress line to stderr while the grid runs.
     pub progress: bool,
-    /// Fuse each profile's configuration block into one lockstep
-    /// [`LaneSet`] replay: a worker claims a whole profile row, records
-    /// (or reuses) its trace once, and drives every configuration over
-    /// a shared trace window in one pass. Reports are bit-identical to
-    /// the solo path — fusing changes wall-clock and memory locality,
-    /// never results. Fused rows always buffer the recorded trace
-    /// (replay is what makes the fusion possible), so very large
-    /// per-job budgets cost ~150 B per instruction per worker.
-    pub fused: bool,
 }
 
 impl Default for RunOptions {
@@ -70,7 +61,6 @@ impl Default for RunOptions {
             threads: 0,
             chunk_cycles: 8_192,
             progress: false,
-            fused: false,
         }
     }
 }
@@ -236,7 +226,7 @@ impl JobTiming {
 /// API's core guarantee), so all of this changes wall-clock and
 /// observability, never results.
 /// Largest per-job budget worth buffering for replay: beyond this the
-/// recorded trace's memory cost (~150 B per instruction, per worker)
+/// recorded trace's memory cost (32 B per instruction, per worker)
 /// outweighs re-running the streaming tracer per configuration.
 const REPLAY_BUDGET_CAP: u64 = 4_000_000;
 
@@ -262,6 +252,7 @@ fn run_job(
     if replayable {
         let key = (trace_key.0, trace_key.1, cfg.max_insts);
         if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
+            worker.trace = None; // free the stale trace before recording
             let started = Instant::now();
             let trace =
                 TraceBuffer::record_with_arena(program, cfg.max_insts, &mut worker.arena.trace);
@@ -302,58 +293,6 @@ fn run_job(
         cycles: report.cycles,
     };
     (report, timing)
-}
-
-/// Runs one profile's whole configuration block as a fused lockstep
-/// [`LaneSet`]: the trace is recorded (or reused from the worker's
-/// cache) once at the block's largest budget, then every configuration
-/// replays it in one shared pass. Lane reports are bit-identical to
-/// [`run_job`]'s solo reports, so fusing never changes campaign
-/// artifacts.
-///
-/// Timing attribution: the trace cost lands on the block's first lane
-/// (as on the solo path), and the fused pass's wall-clock is split
-/// evenly across lanes — lanes interleave within each lockstep round,
-/// so per-lane wall-clock is not separable, but the even split keeps
-/// every aggregate (sum of `insts` over sum of `sim_secs`) exact.
-fn run_fused_row(
-    worker: &mut WorkerContext,
-    program: &Program,
-    trace_key: (&'static str, u64),
-    profile_idx: usize,
-    configs: &[nosq_core::SimConfig],
-    progress: &ProgressCounters<StdSync>,
-) -> Vec<(SimReport, JobTiming)> {
-    let budget = configs.iter().map(|c| c.max_insts).max().unwrap_or(0);
-    let key = (trace_key.0, trace_key.1, budget);
-    let mut trace_secs = 0.0;
-    if worker.trace.as_ref().map(|(k, _)| *k) != Some(key) {
-        let started = Instant::now();
-        let trace = TraceBuffer::record_with_arena(program, budget, &mut worker.arena.trace);
-        trace_secs = started.elapsed().as_secs_f64();
-        worker.trace = Some((key, trace));
-    }
-    let (_, trace) = worker.trace.as_ref().expect("trace recorded above");
-    let started = Instant::now();
-    let lanes = LaneSet::fused_replay_with_arena(program, configs, trace, &mut worker.arena);
-    let reports = lanes.run_with(|round_insts| progress.add_insts(round_insts));
-    let share = started.elapsed().as_secs_f64() / configs.len().max(1) as f64;
-    reports
-        .into_iter()
-        .enumerate()
-        .map(|(c, report)| {
-            progress.job_done();
-            let timing = JobTiming {
-                profile: profile_idx,
-                config: c,
-                trace_secs: if c == 0 { trace_secs } else { 0.0 },
-                sim_secs: share,
-                insts: report.insts,
-                cycles: report.cycles,
-            };
-            (report, timing)
-        })
-        .collect()
 }
 
 /// The outcome of one campaign run: every job's [`SimReport`] in grid
@@ -428,9 +367,6 @@ pub fn run_campaign_on(
         campaign.profiles.len(),
         "one program per profile"
     );
-    if opts.fused && !campaign.configs.is_empty() {
-        return run_campaign_fused(campaign, programs, opts);
-    }
     let n_configs = campaign.configs.len();
     let jobs = campaign.jobs();
     let threads = effective_threads(opts.threads, jobs);
@@ -473,54 +409,6 @@ pub fn run_campaign_on(
         eprintln!();
     }
     let (reports, timings) = outcomes.into_iter().unzip();
-
-    CampaignResult {
-        campaign: campaign.clone(),
-        reports,
-        threads,
-        elapsed: started.elapsed(),
-        timings,
-    }
-}
-
-/// The fused grid: one row per profile, each row a lockstep
-/// [`LaneSet`] over the campaign's whole configuration list. Reports
-/// land in the same profile-major order as the solo grid, byte for
-/// byte; the unit of work-pickup is a profile row, so worker count is
-/// bounded by the profile count.
-fn run_campaign_fused(
-    campaign: &Campaign,
-    programs: &[Program],
-    opts: &RunOptions,
-) -> CampaignResult {
-    let jobs = campaign.jobs();
-    let rows = campaign.profiles.len();
-    let threads = effective_threads(opts.threads, rows);
-    let progress = ProgressCounters::<StdSync>::new();
-    let started = Instant::now();
-    let configs: Vec<nosq_core::SimConfig> =
-        campaign.configs.iter().map(|c| c.config.clone()).collect();
-
-    let row = |worker: &mut WorkerContext, p: usize| {
-        run_fused_row(
-            worker,
-            &programs[p],
-            (campaign.profiles[p].name, campaign.seed),
-            p,
-            &configs,
-            &progress,
-        )
-    };
-    let poll = opts
-        .progress
-        .then_some(|| print_progress(&campaign.name, &progress, jobs, started));
-    let outcomes: Vec<Vec<(SimReport, JobTiming)>> =
-        parallel_map_ctx(rows, opts.threads, 1, WorkerContext::new, row, poll);
-    if opts.progress {
-        print_progress(&campaign.name, &progress, jobs, started);
-        eprintln!();
-    }
-    let (reports, timings) = outcomes.into_iter().flatten().unzip();
 
     CampaignResult {
         campaign: campaign.clone(),
@@ -705,6 +593,7 @@ pub fn run_campaign_durable(
         let key = (campaign.profiles[p].name, campaign.seed, cfg.max_insts);
         let mut trace_secs = 0.0;
         if ctx.trace.as_ref().map(|(k, _)| *k) != Some(key) {
+            ctx.trace = None; // free the stale trace before recording
             let t0 = Instant::now();
             let trace =
                 TraceBuffer::record_with_arena(program, cfg.max_insts, &mut ctx.arena.trace);
@@ -826,34 +715,5 @@ mod tests {
         assert_eq!(result.report(0, 0).insts, result.report(0, 1).insts);
         assert!(result.report(0, 0).cycles > 0);
         assert!(result.baseline_report(0).is_none());
-    }
-
-    #[test]
-    fn fused_campaign_reports_are_byte_identical_to_solo() {
-        let campaign = Campaign::builder("fused")
-            .preset(Preset::Nosq)
-            .preset(Preset::NosqNoDelay)
-            .preset(Preset::BaselineStoresets)
-            .profiles(["gzip", "applu"])
-            .max_insts(1_500)
-            .build()
-            .unwrap();
-        let solo = run_campaign(&campaign, &RunOptions::default());
-        for threads in [1, 3] {
-            let fused = run_campaign(
-                &campaign,
-                &RunOptions {
-                    fused: true,
-                    threads,
-                    ..RunOptions::default()
-                },
-            );
-            assert_eq!(fused.reports, solo.reports);
-            assert_eq!(fused.timings.len(), solo.timings.len());
-            for (i, t) in fused.timings.iter().enumerate() {
-                assert_eq!((t.profile, t.config), (i / 3, i % 3));
-                assert!(t.sim_secs >= 0.0);
-            }
-        }
     }
 }

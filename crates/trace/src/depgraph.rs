@@ -126,7 +126,11 @@ pub struct DependenceGraph {
 impl DependenceGraph {
     /// Builds the graph from a recorded trace.
     pub fn from_trace(trace: &TraceBuffer) -> DependenceGraph {
-        DependenceGraph::from_insts(trace.insts())
+        let mut b = DepGraphBuilder::new();
+        for d in trace.iter() {
+            b.push(&d);
+        }
+        b.finish()
     }
 
     /// Builds the graph by tracing `program` live (one functional pass).
@@ -508,7 +512,7 @@ mod tests {
         let g = DependenceGraph::from_trace(&trace);
         assert_eq!(g.insts(), trace.len() as u64);
         let mut li = 0usize;
-        for d in trace.insts() {
+        for d in trace.iter() {
             if d.class != InstClass::Load {
                 continue;
             }

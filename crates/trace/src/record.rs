@@ -16,7 +16,7 @@ pub enum Coverage {
 }
 
 /// Ground truth about the store that produced a load's value.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MemDep {
     /// Dynamic sequence number of the youngest older store writing any
     /// byte the load reads.
@@ -39,7 +39,7 @@ pub struct MemDep {
 }
 
 /// One dynamic instruction as seen by the timing models.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DynInst {
     /// Dynamic sequence number (0-based, correct path only).
     pub seq: u64,

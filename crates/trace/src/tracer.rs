@@ -1,6 +1,9 @@
 //! Streaming functional tracer with online dependence analysis.
 
-use nosq_isa::{ArchState, InstClass, Program};
+use std::ops::Range;
+
+use nosq_isa::exec::store_memory_bits;
+use nosq_isa::{ArchState, ExecRecord, Inst, InstClass, Program, INST_BYTES};
 
 use crate::lastwriter::{ByteWriter, LastWriterMap};
 use crate::record::{Coverage, DynInst, MemDep};
@@ -130,46 +133,237 @@ impl<'p> Tracer<'p> {
 /// *once* and replay the buffer for every configuration
 /// (`Simulator::replay*` in `nosq-core`). Replay is bit-identical to
 /// live tracing by construction.
+///
+/// Each instruction is stored as a record of at most 32 bytes holding
+/// only what cannot be derived from the program or the neighbouring
+/// records; [`TraceBuffer::inst`] decodes a record back into the
+/// [`DynInst`] the tracer produced, field for field.
 #[derive(Clone, Debug)]
 pub struct TraceBuffer {
-    insts: Vec<DynInst>,
+    records: Vec<Packed>,
+    /// The program's static instructions, indexed by [`Packed::code`].
+    code: Vec<StaticInst>,
+    /// The last record's `next_pc` (every other record's `next_pc` is
+    /// its successor's PC).
+    end_pc: u64,
     max_insts: u64,
+}
+
+/// One entry of a trace's code table.
+#[derive(Copy, Clone, Debug)]
+struct StaticInst {
+    pc: u64,
+    inst: Inst,
+    class: InstClass,
+}
+
+/// One recorded instruction. `seq` is the record's position, `next_pc`
+/// the next record's PC, and `store_mem_bits` is recomputed from the
+/// store data with [`store_memory_bits`]. A load's producing store is
+/// found `dep_distance` records back, and supplies the dependence's
+/// store distance, width and `sts` flag.
+#[derive(Copy, Clone, Debug)]
+struct Packed {
+    /// Effective address (memory operations only, else 0).
+    addr: u64,
+    /// The load value or the store data (memory operations only).
+    value: u64,
+    /// Index into the trace's code table (`pc / INST_BYTES`).
+    code: u32,
+    stores_before: u32,
+    /// `MemDep::inst_distance`; 0 when the load has no producing store
+    /// (a producer is always at least one instruction older).
+    dep_distance: u32,
+    /// `MemDep::shift`.
+    shift: u8,
+    /// [`TAKEN`] | [`PARTIAL`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() <= 32);
+
+/// `ExecRecord::taken`.
+const TAKEN: u8 = 1;
+/// `MemDep::coverage` is [`Coverage::Partial`].
+const PARTIAL: u8 = 2;
+
+/// Narrows a recorded count to a record's 32-bit field, refusing
+/// (never wrapping) one that does not fit.
+fn narrow(value: u64, what: &str) -> u32 {
+    u32::try_from(value)
+        .unwrap_or_else(|_| panic!("{what} {value} does not fit a 32-bit trace record field"))
+}
+
+impl Packed {
+    fn pack(d: &DynInst) -> Packed {
+        let value = match d.class {
+            InstClass::Load => d.rec.load_value,
+            InstClass::Store => d.rec.store_data,
+            _ => 0,
+        };
+        let mut flags = if d.rec.taken { TAKEN } else { 0 };
+        let (dep_distance, shift) = match d.mem_dep {
+            Some(dep) => {
+                if dep.coverage == Coverage::Partial {
+                    flags |= PARTIAL;
+                }
+                (narrow(dep.inst_distance, "dependence distance"), dep.shift)
+            }
+            None => (0, 0),
+        };
+        Packed {
+            addr: d.rec.addr,
+            value,
+            code: narrow(d.rec.pc / INST_BYTES, "static instruction index"),
+            stores_before: narrow(d.stores_before, "store count"),
+            dep_distance,
+            shift,
+            flags,
+        }
+    }
 }
 
 impl TraceBuffer {
     /// Records the trace of `program`, up to `max_insts` dynamic
     /// instructions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a count the record narrows to 32 bits (stores before
+    /// an instruction, a dependence distance) does not fit.
     pub fn record(program: &Program, max_insts: u64) -> TraceBuffer {
         let mut map = LastWriterMap::new();
         TraceBuffer::record_with_arena(program, max_insts, &mut map)
     }
 
     /// [`TraceBuffer::record`] reusing a persistent [`LastWriterMap`].
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceBuffer::record`].
     pub fn record_with_arena(
         program: &Program,
         max_insts: u64,
         map: &mut LastWriterMap,
     ) -> TraceBuffer {
+        let code = program
+            .iter()
+            .map(|(pc, &inst)| StaticInst {
+                pc,
+                inst,
+                class: inst.class(),
+            })
+            .collect();
         // One up-front allocation (capped for huge budgets) instead of
         // doubling growth through tens of megabytes.
-        let mut insts = Vec::with_capacity(max_insts.min(4_000_000) as usize);
-        insts.extend(Tracer::with_arena(program, max_insts, map));
-        TraceBuffer { insts, max_insts }
+        let mut records = Vec::with_capacity(max_insts.min(4_000_000) as usize);
+        let mut end_pc = program.entry();
+        for d in Tracer::with_arena(program, max_insts, map) {
+            records.push(Packed::pack(&d));
+            end_pc = d.rec.next_pc;
+        }
+        TraceBuffer {
+            records,
+            code,
+            end_pc,
+            max_insts,
+        }
     }
 
-    /// The recorded dynamic instructions.
-    pub fn insts(&self) -> &[DynInst] {
-        &self.insts
+    /// Decodes the instruction at trace position `pos` (its `seq`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= self.len()`.
+    #[inline]
+    pub fn inst(&self, pos: usize) -> DynInst {
+        let r = &self.records[pos];
+        let s = &self.code[r.code as usize];
+        let next_pc = self
+            .records
+            .get(pos + 1)
+            .map_or(self.end_pc, |n| self.code[n.code as usize].pc);
+        let mut rec = ExecRecord {
+            pc: s.pc,
+            inst: s.inst,
+            addr: r.addr,
+            load_value: 0,
+            store_data: 0,
+            store_mem_bits: 0,
+            taken: r.flags & TAKEN != 0,
+            next_pc,
+        };
+        let mut mem_dep = None;
+        match s.inst {
+            Inst::Load { .. } => {
+                rec.load_value = r.value;
+                if r.dep_distance != 0 {
+                    mem_dep = Some(self.mem_dep(pos, r));
+                }
+            }
+            Inst::Store { width, float32, .. } => {
+                rec.store_data = r.value;
+                rec.store_mem_bits = store_memory_bits(r.value, width, float32);
+            }
+            _ => {}
+        }
+        DynInst {
+            seq: pos as u64,
+            rec,
+            class: s.class,
+            stores_before: u64::from(r.stores_before),
+            mem_dep,
+        }
+    }
+
+    /// The dependence of the load `r` at `pos`, completed from its
+    /// producing store's record.
+    fn mem_dep(&self, pos: usize, r: &Packed) -> MemDep {
+        let store_seq = pos - r.dep_distance as usize;
+        let store = &self.records[store_seq];
+        let Inst::Store { width, float32, .. } = self.code[store.code as usize].inst else {
+            unreachable!("a load's producer is a store");
+        };
+        MemDep {
+            store_seq: store_seq as u64,
+            store_distance: u64::from(r.stores_before - store.stores_before - 1),
+            inst_distance: u64::from(r.dep_distance),
+            coverage: if r.flags & PARTIAL != 0 {
+                Coverage::Partial
+            } else {
+                Coverage::Full
+            },
+            shift: r.shift,
+            store_width: width.bytes() as u8,
+            store_float32: float32,
+        }
+    }
+
+    /// Decodes the instructions at trace positions `range`, in order.
+    pub fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = DynInst> + '_ {
+        range.map(move |pos| self.inst(pos))
+    }
+
+    /// Decodes every recorded instruction, in order.
+    pub fn iter(&self) -> impl Iterator<Item = DynInst> + '_ {
+        self.iter_range(0..self.len())
     }
 
     /// Number of recorded instructions.
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.records.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.records.is_empty()
+    }
+
+    /// Heap memory the trace holds: its records (at allocated
+    /// capacity) plus its code table.
+    pub fn heap_bytes(&self) -> usize {
+        self.records.capacity() * std::mem::size_of::<Packed>()
+            + self.code.capacity() * std::mem::size_of::<StaticInst>()
     }
 
     /// The budget the trace was recorded with.
@@ -182,7 +376,7 @@ impl TraceBuffer {
     /// at least `budget`, or the program halted before exhausting the
     /// recording budget (so the stream is complete).
     pub fn covers(&self, budget: u64) -> bool {
-        self.max_insts >= budget || (self.insts.len() as u64) < self.max_insts
+        self.max_insts >= budget || (self.records.len() as u64) < self.max_insts
     }
 }
 
@@ -257,8 +451,10 @@ impl Iterator for Tracer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiles::Profile;
     use crate::record::Coverage;
-    use nosq_isa::{Assembler, Extension, MemWidth, Reg};
+    use crate::synth::synthesize;
+    use nosq_isa::{Assembler, Cond, Extension, MemWidth, Reg};
 
     fn trace(asm: Assembler, max: u64) -> Vec<DynInst> {
         let prog = asm.finish();
@@ -400,5 +596,110 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Decoding every record reproduces the live tracer's output field
+    /// for field.
+    fn assert_round_trip(prog: &Program, max: u64) {
+        let live: Vec<DynInst> = Tracer::new(prog, max).collect();
+        let trace = TraceBuffer::record(prog, max);
+        assert_eq!(trace.len(), live.len());
+        for (pos, d) in live.iter().enumerate() {
+            assert_eq!(trace.inst(pos), *d, "record {pos} decodes differently");
+        }
+        assert!(trace.iter().eq(live.iter().copied()));
+    }
+
+    #[test]
+    fn records_round_trip_on_every_profile() {
+        for profile in Profile::all() {
+            assert_round_trip(&synthesize(profile, 42), 5_000);
+        }
+    }
+
+    /// A random straight-line mix of every memory shape the record has
+    /// to carry: partial-word and full-word stores and loads, `sts` and
+    /// `lds`, shifted and multi-store loads, loads of initial data, and
+    /// taken and not-taken branches, ending in a halt.
+    fn generated_program(seed: u64, len: usize) -> Program {
+        let mut x = seed | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let widths = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+        let (base, v, w) = (Reg::int(1), Reg::int(2), Reg::int(3));
+        let mut asm = Assembler::new();
+        asm.data_u64s(0x1000, &[0x0123_4567_89ab_cdef, 42, 7, 1 << 40]);
+        asm.li(base, 0x1000);
+        for _ in 0..len {
+            let ofs = next(32) as i32;
+            match next(8) {
+                0 => asm.li(v, next(u64::MAX) as i64),
+                1 => asm.store(v, base, ofs, widths[next(4) as usize]),
+                2 => asm.sts(v, base, ofs & !3),
+                3 => asm.lds(w, base, ofs & !3),
+                4 => {
+                    let ext = [Extension::Zero, Extension::Sign][next(2) as usize];
+                    asm.load(w, base, ofs, widths[next(4) as usize], ext);
+                }
+                5 => {
+                    let skip = asm.label();
+                    asm.branch([Cond::Eq, Cond::Ne][next(2) as usize], v, w, skip);
+                    asm.addi(v, v, 1);
+                    asm.bind(skip);
+                }
+                _ => asm.load(w, base, ofs, MemWidth::B8, Extension::Zero),
+            }
+        }
+        asm.halt();
+        asm.finish()
+    }
+
+    #[test]
+    fn records_round_trip_on_generated_programs() {
+        for seed in 1..=20 {
+            let prog = generated_program(seed, 300);
+            assert_round_trip(&prog, 10_000); // halts early
+            assert_round_trip(&prog, 150); // truncated mid-stream
+        }
+    }
+
+    #[test]
+    fn records_round_trip_when_execution_faults() {
+        // A return to an unmapped PC ends the stream with an error; the
+        // last record's `next_pc` is that PC.
+        let mut asm = Assembler::new();
+        asm.li(Reg::int(1), 0x10_0000);
+        asm.ret_reg(Reg::int(1));
+        let prog = asm.finish();
+        let mut tracer = Tracer::new(&prog, 100);
+        assert_eq!(tracer.by_ref().count(), 2);
+        assert!(tracer.error().is_some());
+        assert_round_trip(&prog, 100);
+    }
+
+    #[test]
+    fn over_u32_store_count_is_refused() {
+        let mut asm = Assembler::new();
+        asm.store(Reg::int(2), Reg::int(1), 0, MemWidth::B8);
+        let prog = asm.finish();
+        let mut d = Tracer::new(&prog, 1).next().unwrap();
+        d.stores_before = u64::from(u32::MAX);
+        assert_eq!(Packed::pack(&d).stores_before, u32::MAX);
+        d.stores_before += 1;
+        let refused = std::panic::catch_unwind(|| Packed::pack(&d));
+        assert!(refused.is_err(), "a store count past u32 wrapped silently");
+    }
+
+    #[test]
+    fn heap_bytes_counts_compact_records() {
+        let prog = synthesize(Profile::by_name("gzip").unwrap(), 42);
+        let trace = TraceBuffer::record(&prog, 10_000);
+        let code = prog.len() * std::mem::size_of::<StaticInst>();
+        assert_eq!(trace.heap_bytes(), 32 * 10_000 + code);
+        assert!(trace.heap_bytes() < trace.len() * std::mem::size_of::<DynInst>() / 3);
     }
 }

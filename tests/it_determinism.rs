@@ -4,7 +4,11 @@
 //! twice must yield byte-identical results. A nondeterministic
 //! simulator would silently invalidate every paper comparison.
 
-use nosq_core::{simulate, LaneSet, SimArena, SimConfig, Simulator, StopCondition};
+use nosq_core::{
+    sampled_replay_with_arena, simulate, SamplePlan, SimArena, SimConfig, SimReport, Simulator,
+    StopCondition,
+};
+use nosq_isa::Program;
 use nosq_trace::{synthesize, Profile, TraceBuffer};
 
 /// Two independent `synthesize` + `simulate` runs of the same
@@ -125,7 +129,7 @@ fn squash_heavy_runs_match_seed_golden_counters() {
         } else {
             SimConfig::baseline_storesets(40_000)
         };
-        // All three construction paths must reproduce the seed run.
+        // Every construction path must reproduce the seed run.
         let trace = TraceBuffer::record(&program, 40_000);
         for (path, r) in [
             ("simulate", simulate(&program, cfg.clone())),
@@ -134,9 +138,14 @@ fn squash_heavy_runs_match_seed_golden_counters() {
                 Simulator::with_arena(&program, cfg.clone(), &mut arena).run(),
             ),
             (
+                "replay",
+                Simulator::replay(&program, cfg.clone(), &trace).run(),
+            ),
+            (
                 "replay_with_arena",
                 Simulator::replay_with_arena(&program, cfg.clone(), &trace, &mut arena).run(),
             ),
+            ("resume", resumed_mid_run(&program, cfg.clone(), &trace)),
         ] {
             let got = (
                 r.cycles,
@@ -158,45 +167,56 @@ fn squash_heavy_runs_match_seed_golden_counters() {
     }
 }
 
-/// Fused lockstep replay is invisible in the reports: every lane of a
-/// [`LaneSet`] over all five presets must be **byte-identical** to its
-/// solo `Simulator::replay` run, on the same squash-heavy workloads the
-/// golden-counter test pins (so the solo side is itself anchored to the
-/// seed simulator). This covers everything the fused path changes —
-/// trace-indexed instruction storage, lockstep stride scheduling, and
-/// batch idle-cycle skipping — with and without a shared arena.
+/// Replays `cfg` to 15k committed instructions, snapshots the session,
+/// and finishes the run from a fresh session resumed off the snapshot.
+fn resumed_mid_run(program: &Program, cfg: SimConfig, trace: &TraceBuffer) -> SimReport {
+    let mut first = Simulator::replay(program, cfg, trace);
+    first.run_until(StopCondition::Insts(15_000));
+    let ckpt = first.checkpoint();
+    drop(first);
+    Simulator::resume(program, trace, &ckpt).run()
+}
+
+/// Sampled windows that open mid-trace reproduce the seed's counters:
+/// each window seeds its SSNs and memory image from the trace at its
+/// start and replays from there, so the in-flight store begins at a
+/// non-zero trace position.
 #[test]
-fn fused_replay_lanes_match_solo_replay_bit_for_bit() {
-    let budget = 40_000;
-    let configs = [
-        SimConfig::baseline_perfect(budget),
-        SimConfig::baseline_storesets(budget),
-        SimConfig::nosq_no_delay(budget),
-        SimConfig::nosq(budget),
-        SimConfig::perfect_smb(budget),
+fn mid_trace_sampled_windows_match_golden_counters() {
+    // (profile, nosq_no_delay?, windows, measured_insts,
+    //  measured_cycles, total_insts)
+    type GoldenRow = (&'static str, bool, u64, u64, u64, u64);
+    #[rustfmt::skip]
+    let golden: [GoldenRow; 6] = [
+        ("gzip",   true,  4, 11995, 11771, 40000),
+        ("gzip",   false, 4, 11996, 11881, 40000),
+        ("gcc",    true,  4, 11996, 13227, 40000),
+        ("gcc",    false, 4, 11994, 12936, 40000),
+        ("vortex", true,  4, 11993, 11322, 40000),
+        ("vortex", false, 4, 11993, 11571, 40000),
     ];
+    let plan = SamplePlan::parse("7000:3000:4").expect("plan parses");
     let mut arena = SimArena::new();
-    for name in ["gzip", "gcc", "vortex"] {
+    for (name, nosq, windows, insts, cycles, total) in golden {
         let profile = Profile::by_name(name).expect("profile exists");
         let program = synthesize(profile, nosq_bench::SEED);
-        let trace = TraceBuffer::record(&program, budget);
-        let solo: Vec<_> = configs
-            .iter()
-            .map(|cfg| Simulator::replay(&program, cfg.clone(), &trace).run())
-            .collect();
-        let fused = LaneSet::fused_replay(&program, &configs, &trace).run();
-        let fused_arena =
-            LaneSet::fused_replay_with_arena(&program, &configs, &trace, &mut arena).run();
-        for (lane, solo_report) in solo.iter().enumerate() {
-            assert_eq!(
-                &fused[lane], solo_report,
-                "{name}: fused lane {lane} diverged from solo replay"
-            );
-            assert_eq!(
-                &fused_arena[lane], solo_report,
-                "{name}: arena-fused lane {lane} diverged from solo replay"
-            );
-        }
+        let trace = TraceBuffer::record(&program, 40_000);
+        let cfg = if nosq {
+            SimConfig::nosq_no_delay(40_000)
+        } else {
+            SimConfig::baseline_storesets(40_000)
+        };
+        let r = sampled_replay_with_arena(&program, cfg, &trace, &plan, &mut arena);
+        assert_eq!(
+            (
+                r.windows,
+                r.measured_insts,
+                r.measured_cycles,
+                r.total_insts
+            ),
+            (windows, insts, cycles, total),
+            "{name} nosq={nosq}: sampled windows diverged from the seed"
+        );
     }
 }
 
