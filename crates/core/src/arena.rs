@@ -33,7 +33,7 @@
 //! }
 //! ```
 
-use nosq_trace::{DynInst, LastWriterMap};
+use nosq_trace::{DynInst, LastWriterMap, TraceBuffer};
 
 use crate::pipeline::{Entry, Fetched, ReadyCand, Waiter, WheelEntry};
 use crate::srq::StoreInfo;
@@ -136,15 +136,36 @@ impl InstRing {
     /// Stores `d` at the next position and returns that position.
     #[inline]
     pub(crate) fn push(&mut self, d: DynInst) -> u32 {
-        let pos = self.end;
+        let (pos, slot) = self.next_slot(|| d);
+        *slot = d;
         debug_assert_eq!(d.seq as u32, pos, "in-flight instructions arrive in order");
-        if pos.wrapping_sub(self.base) as usize == self.slots.len() {
-            self.grow(d);
-        }
-        let mask = self.slots.len() - 1;
-        self.slots[pos as usize & mask] = d;
-        self.end = pos.wrapping_add(1);
         pos
+    }
+
+    /// Decodes trace position `at` in place into the next slot and
+    /// returns that position.
+    #[inline]
+    pub(crate) fn push_decoded(&mut self, trace: &TraceBuffer, at: usize) -> u32 {
+        let (pos, slot) = self.next_slot(|| trace.inst(at));
+        trace.decode_into(at, slot);
+        debug_assert_eq!(
+            slot.seq as u32, pos,
+            "in-flight instructions arrive in order"
+        );
+        pos
+    }
+
+    /// Claims the next position's slot, doubling the ring first if that
+    /// slot is live. `fill` supplies a value for the dead slots.
+    #[inline]
+    fn next_slot(&mut self, fill: impl FnOnce() -> DynInst) -> (u32, &mut DynInst) {
+        let pos = self.end;
+        if pos.wrapping_sub(self.base) as usize == self.slots.len() {
+            self.grow(fill());
+        }
+        self.end = pos.wrapping_add(1);
+        let mask = self.slots.len() - 1;
+        (pos, &mut self.slots[pos as usize & mask])
     }
 
     /// Doubles the slot array, re-placing the live window. `fill`

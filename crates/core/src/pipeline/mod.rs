@@ -225,18 +225,19 @@ enum InstSource<'p> {
 }
 
 impl InstSource<'_> {
-    /// The next instruction of the stream, decoded.
+    /// Moves the next instruction of the stream into `ring`, returning
+    /// its position.
     #[inline]
-    fn next_inst(&mut self) -> Option<DynInst> {
+    fn next_into(&mut self, ring: &mut InstRing) -> Option<u32> {
         match self {
-            InstSource::Live(t) => t.next(),
+            InstSource::Live(t) => t.next().map(|d| ring.push(d)),
             InstSource::Replay { trace, next, limit } => {
                 if *next >= *limit {
                     return None;
                 }
-                let d = trace.inst(*next);
+                let pos = ring.push_decoded(trace, *next);
                 *next += 1;
-                Some(d)
+                Some(pos)
             }
         }
     }
@@ -939,7 +940,7 @@ impl<'p> Simulator<'p> {
         sim.insts.reset(oldest);
         let mut pos = oldest;
         while pos != next {
-            sim.insts.push(trace.inst(pos as usize));
+            sim.insts.push_decoded(trace, pos as usize);
             pos = pos.wrapping_add(1);
         }
         sim
@@ -2243,8 +2244,8 @@ impl<'p> Simulator<'p> {
         while budget > 0 {
             let inst_idx = match self.pending.pop_front() {
                 Some(i) => i,
-                None => match self.stream.next_inst() {
-                    Some(d) => self.insts.push(d),
+                None => match self.stream.next_into(&mut self.insts) {
+                    Some(i) => i,
                     None => {
                         self.stream_done = true;
                         break;

@@ -182,6 +182,24 @@ struct Packed {
 
 const _: () = assert!(std::mem::size_of::<Packed>() <= 32);
 
+/// A placeholder for [`TraceBuffer::decode_into`] to overwrite.
+const BLANK: DynInst = DynInst {
+    seq: 0,
+    rec: ExecRecord {
+        pc: 0,
+        inst: Inst::Halt,
+        addr: 0,
+        load_value: 0,
+        store_data: 0,
+        store_mem_bits: 0,
+        taken: false,
+        next_pc: 0,
+    },
+    class: InstClass::Halt,
+    stores_before: 0,
+    mem_dep: None,
+};
+
 /// `ExecRecord::taken`.
 const TAKEN: u8 = 1;
 /// `MemDep::coverage` is [`Coverage::Partial`].
@@ -277,28 +295,43 @@ impl TraceBuffer {
     /// Panics if `pos >= self.len()`.
     #[inline]
     pub fn inst(&self, pos: usize) -> DynInst {
+        let mut d = BLANK;
+        self.decode_into(pos, &mut d);
+        d
+    }
+
+    /// [`TraceBuffer::inst`] written over every field of `out`: a
+    /// consumer that keeps instructions in a reused slot decodes in
+    /// place instead of building a `DynInst` and copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= self.len()`.
+    #[inline]
+    pub fn decode_into(&self, pos: usize, out: &mut DynInst) {
         let r = &self.records[pos];
         let s = &self.code[r.code as usize];
-        let next_pc = self
+        out.seq = pos as u64;
+        out.class = s.class;
+        out.stores_before = u64::from(r.stores_before);
+        out.mem_dep = None;
+        let rec = &mut out.rec;
+        rec.pc = s.pc;
+        rec.inst = s.inst;
+        rec.addr = r.addr;
+        rec.load_value = 0;
+        rec.store_data = 0;
+        rec.store_mem_bits = 0;
+        rec.taken = r.flags & TAKEN != 0;
+        rec.next_pc = self
             .records
             .get(pos + 1)
             .map_or(self.end_pc, |n| self.code[n.code as usize].pc);
-        let mut rec = ExecRecord {
-            pc: s.pc,
-            inst: s.inst,
-            addr: r.addr,
-            load_value: 0,
-            store_data: 0,
-            store_mem_bits: 0,
-            taken: r.flags & TAKEN != 0,
-            next_pc,
-        };
-        let mut mem_dep = None;
         match s.inst {
             Inst::Load { .. } => {
                 rec.load_value = r.value;
                 if r.dep_distance != 0 {
-                    mem_dep = Some(self.mem_dep(pos, r));
+                    out.mem_dep = Some(self.mem_dep(pos, r));
                 }
             }
             Inst::Store { width, float32, .. } => {
@@ -306,13 +339,6 @@ impl TraceBuffer {
                 rec.store_mem_bits = store_memory_bits(r.value, width, float32);
             }
             _ => {}
-        }
-        DynInst {
-            seq: pos as u64,
-            rec,
-            class: s.class,
-            stores_before: u64::from(r.stores_before),
-            mem_dep,
         }
     }
 
@@ -604,8 +630,13 @@ mod tests {
         let live: Vec<DynInst> = Tracer::new(prog, max).collect();
         let trace = TraceBuffer::record(prog, max);
         assert_eq!(trace.len(), live.len());
+        // One reused slot: decoding in place must overwrite every field
+        // the previous instruction left behind.
+        let mut slot = BLANK;
         for (pos, d) in live.iter().enumerate() {
             assert_eq!(trace.inst(pos), *d, "record {pos} decodes differently");
+            trace.decode_into(pos, &mut slot);
+            assert_eq!(slot, *d, "record {pos} decodes differently in place");
         }
         assert!(trace.iter().eq(live.iter().copied()));
     }
