@@ -565,14 +565,7 @@ fn run_durable_campaign(
     let mut ctx = WorkerContext::new();
     let progress: ProgressCounters<StdSync> = ProgressCounters::new();
     let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
-        let entry = CheckpointEntry {
-            fingerprint,
-            name: campaign.name.clone(),
-            spec: spec.to_owned(),
-            job_index: ev.job_index as u64,
-            completed: ev.completed.to_vec(),
-            state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-        };
+        let entry = CheckpointEntry::from_event(fingerprint, &campaign.name, spec, &ev);
         if let Err(e) = journal.append_checkpoint(&entry) {
             eprintln!(
                 "nosq: warning: checkpoint append failed for {}: {e}",

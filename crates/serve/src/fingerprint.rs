@@ -9,52 +9,12 @@
 //! from cache; any change that could alter a single artifact byte
 //! (budget, seed, an extra profile) lands in a different slot.
 //!
-//! The hash is hand-rolled FNV-1a, same as the rest of the workspace —
-//! no crates.io access, and 64 bits is plenty for a cache key space
-//! measured in thousands of campaigns, not billions.
+//! The hash is [`nosq_wire`]'s FNV-1a, the workspace's one checksum —
+//! 64 bits is plenty for a cache key space measured in thousands of
+//! campaigns, not billions.
 
 use nosq_lab::Campaign;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64 hasher.
-#[derive(Copy, Clone, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    /// Folds bytes into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-/// Hashes one byte slice in one call.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
-}
+pub use nosq_wire::{fnv1a, Fnv1a};
 
 /// The campaign's service identity: a stable hash over every input
 /// that determines its deterministic artifact bytes.
@@ -109,11 +69,20 @@ mod tests {
             .unwrap()
     }
 
+    /// Job ids are durable: journals and clients hold them across
+    /// releases, so these values must never change.
     #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn fingerprints_are_pinned() {
+        assert_eq!(
+            campaign_fingerprint(&campaign("x", 2000, 42)),
+            0xf0d6_e973_6ebf_9367
+        );
+        let spec = "name = pinned\nconfigs = nosq, baseline-storesets\nprofiles = gzip, gsm.e\n\
+                    max_insts = 4000\nbaseline = baseline-storesets\n";
+        assert_eq!(
+            campaign_fingerprint(&Campaign::from_spec(spec).unwrap()),
+            0x6864_6c37_4622_544c
+        );
     }
 
     #[test]

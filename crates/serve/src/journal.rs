@@ -31,40 +31,43 @@
 //! # On-disk format
 //!
 //! ```text
-//! "NOSQJRNL" magic (8 bytes)  |  u32 LE version (1)
-//! repeated records:
-//!   u32 LE payload length  |  u64 LE FNV-1a of payload  |  payload
+//! "NOSQJRNL" magic (8 bytes)  |  u32 LE version (2)
+//! repeated records, each one nosq_wire envelope:
+//!   envelope::seal(campaign fingerprint, payload)
 //! ```
 //!
-//! A completed-campaign payload is one JSON object `{"job": "<16-hex>",
-//! "name": …, "artifacts": [{"file_name", "contents"}, …]}` — the same
-//! artifact encoding the wire protocol's `done` event uses. A
-//! checkpoint payload is `{"ckpt": "<16-hex>", "name": …, "spec": …,
-//! "job_index": n, "completed": "<hex>", "state": "<hex>"}`, where
-//! `completed` is the wire encoding of the finished jobs' reports and
-//! `state` (absent at a job boundary) is the sealed simulator
-//! checkpoint — itself independently versioned, checksummed, and
-//! config-fingerprinted. Recovery truncates the file back to the last
-//! valid record, so a torn tail is also *physically* removed and the
-//! next append starts from a clean boundary.
+//! The envelope carries the length, the FNV-1a checksum and the
+//! campaign fingerprint; the payload is [`Wire`]-encoded, led by a tag
+//! byte. A completed-campaign payload is `0 ‖ name ‖ artifacts`, the
+//! artifacts a list of `(file_name, contents)` strings. A checkpoint
+//! payload is `1 ‖ name ‖ spec ‖ job_index ‖ completed ‖ state`, where
+//! `completed` is the finished jobs' reports and `state` (absent at a
+//! job boundary) is the sealed simulator checkpoint, stored raw —
+//! itself an envelope, independently versioned, checksummed, and
+//! config-fingerprinted. Version-1 journals (JSON payloads) are
+//! refused like any foreign file. Recovery truncates the file back to
+//! the last valid record, so a torn tail is also *physically* removed
+//! and the next append starts from a clean boundary.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use nosq_core::ser::{JsonArray, JsonObject};
 use nosq_core::SimReport;
-use nosq_lab::{json, Artifact};
+use nosq_lab::Artifact;
+use nosq_wire::{envelope, Dec, Enc, Wire, WireError};
 
 use crate::durable::{DurableFile, DurableIo, OsIo};
-use crate::fingerprint::{fnv1a, parse_fingerprint};
-use crate::protocol::artifacts_from_json;
 
 const MAGIC: &[u8; 8] = b"NOSQJRNL";
-const VERSION: u32 = 1;
-/// Sanity bound on one record's payload; a length prefix beyond this is
-/// treated as corruption, not an allocation request.
-const MAX_RECORD: u32 = 256 * 1024 * 1024;
+const VERSION: u32 = 2;
+/// File header: magic + version.
+const HEADER: usize = 12;
+
+/// Payload tag of a completed-campaign record.
+const COMPLETED: u8 = 0;
+/// Payload tag of a checkpoint record.
+const CHECKPOINT: u8 = 1;
 
 /// One recovered completed-campaign entry.
 #[derive(Clone, Debug)]
@@ -97,6 +100,28 @@ pub struct CheckpointEntry {
     /// the in-flight job, `None` at a job boundary (the next job
     /// simply starts from scratch).
     pub state: Option<Vec<u8>>,
+}
+
+impl CheckpointEntry {
+    /// The record a durable run journals for one [`CkptEvent`] of the
+    /// campaign `fingerprint` built from `spec`.
+    ///
+    /// [`CkptEvent`]: nosq_lab::CkptEvent
+    pub fn from_event(
+        fingerprint: u64,
+        name: &str,
+        spec: &str,
+        ev: &nosq_lab::CkptEvent<'_>,
+    ) -> CheckpointEntry {
+        CheckpointEntry {
+            fingerprint,
+            name: name.to_owned(),
+            spec: spec.to_owned(),
+            job_index: ev.job_index as u64,
+            completed: ev.completed.to_vec(),
+            state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
+        }
+    }
 }
 
 /// What recovery salvaged from a journal.
@@ -144,22 +169,26 @@ impl Journal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
+        let mut header = Vec::with_capacity(HEADER);
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        let foreign = || {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{} is not a version-{VERSION} nosq journal", path.display()),
+            )
+        };
+
         let mut recovered = Recovered::default();
         let mut partials: BTreeMap<u64, CheckpointEntry> = BTreeMap::new();
         let mut records = 0u64;
         let mut valid_end = 0usize;
-        if bytes.len() >= MAGIC.len() + 4 {
-            if &bytes[..8] != MAGIC
-                || u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) != VERSION
-            {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{} is not a nosq journal", path.display()),
-                ));
+        if bytes.len() >= HEADER {
+            if bytes[..HEADER] != header[..] {
+                return Err(foreign());
             }
-            valid_end = 12;
-            let mut pos = 12usize;
-            while let Some((record, next)) = read_record(&bytes, pos) {
+            valid_end = HEADER;
+            while let Some((record, len)) = read_record(&bytes[valid_end..]) {
                 match record {
                     Record::Completed(entry) => {
                         // A completed campaign supersedes every
@@ -172,20 +201,18 @@ impl Journal {
                     }
                 }
                 records += 1;
-                valid_end = next;
-                pos = next;
+                valid_end += len;
             }
-        } else if !bytes.is_empty() {
-            // A torn header write: shorter than magic+version. Treat as
-            // empty — nothing could have been reported complete yet.
+        } else if !header.starts_with(&bytes) {
+            // Too short to hold a header and not a torn write of one:
+            // someone else's file, which must be left untouched.
+            return Err(foreign());
         }
 
         if valid_end == 0 {
-            // Fresh or unusable header: rewrite from scratch.
+            // Fresh file or a torn header write (nothing could have
+            // been reported complete yet): rewrite from scratch.
             file.truncate(0)?;
-            let mut header = Vec::with_capacity(12);
-            header.extend_from_slice(MAGIC);
-            header.extend_from_slice(&VERSION.to_le_bytes());
             file.append(&header)?;
             file.sync_data()?;
         } else if valid_end < bytes.len() {
@@ -196,7 +223,7 @@ impl Journal {
         }
 
         recovered.partial = partials.into_values().collect();
-        let truncated = bytes.len().saturating_sub(valid_end.max(12)) as u64;
+        let truncated = bytes.len().saturating_sub(valid_end.max(HEADER)) as u64;
         Ok((
             Journal {
                 file,
@@ -208,16 +235,10 @@ impl Journal {
         ))
     }
 
-    /// Appends one record (length + checksum + payload) and fsyncs.
-    fn append_record(&mut self, payload: &str) -> std::io::Result<()> {
-        let bytes = payload.as_bytes();
-        let mut record = Vec::with_capacity(12 + bytes.len());
-        record.extend_from_slice(
-            &(u32::try_from(bytes.len()).expect("record < 4 GiB")).to_le_bytes(),
-        );
-        record.extend_from_slice(&fnv1a(bytes).to_le_bytes());
-        record.extend_from_slice(bytes);
-        self.file.append(&record)?;
+    /// Seals one record payload in an envelope, appends it and fsyncs.
+    fn append_record(&mut self, fingerprint: u64, payload: Enc) -> std::io::Result<()> {
+        self.file
+            .append(&envelope::seal(fingerprint, &payload.into_bytes()))?;
         self.file.sync_data()?;
         self.records += 1;
         Ok(())
@@ -232,14 +253,29 @@ impl Journal {
         name: &str,
         artifacts: &[Artifact],
     ) -> std::io::Result<()> {
-        self.append_record(&record_payload(fingerprint, name, artifacts))
+        let mut e = Enc::new();
+        e.put_u8(COMPLETED);
+        name.to_owned().enc(&mut e);
+        let files: Vec<(String, String)> = artifacts
+            .iter()
+            .map(|a| (a.file_name.clone(), a.contents.clone()))
+            .collect();
+        files.enc(&mut e);
+        self.append_record(fingerprint, e)
     }
 
     /// Appends one mid-campaign checkpoint and fsyncs. A later
     /// checkpoint or a completed record for the same campaign
     /// supersedes it at recovery.
     pub fn append_checkpoint(&mut self, entry: &CheckpointEntry) -> std::io::Result<()> {
-        self.append_record(&checkpoint_payload(entry))
+        let mut e = Enc::new();
+        e.put_u8(CHECKPOINT);
+        entry.name.enc(&mut e);
+        entry.spec.enc(&mut e);
+        entry.job_index.enc(&mut e);
+        entry.completed.enc(&mut e);
+        entry.state.enc(&mut e);
+        self.append_record(entry.fingerprint, e)
     }
 
     /// Records appended plus records recovered (checkpoints included).
@@ -256,58 +292,6 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-fn record_payload(fingerprint: u64, name: &str, artifacts: &[Artifact]) -> String {
-    let mut arr = JsonArray::new();
-    for a in artifacts {
-        let mut obj = JsonObject::new();
-        obj.field_str("file_name", &a.file_name)
-            .field_str("contents", &a.contents);
-        arr.push_raw(&obj.finish());
-    }
-    let mut obj = JsonObject::new();
-    obj.field_str("job", &crate::fingerprint::fingerprint_hex(fingerprint))
-        .field_str("name", name)
-        .field_raw("artifacts", &arr.finish());
-    obj.finish()
-}
-
-fn checkpoint_payload(entry: &CheckpointEntry) -> String {
-    let mut obj = JsonObject::new();
-    obj.field_str(
-        "ckpt",
-        &crate::fingerprint::fingerprint_hex(entry.fingerprint),
-    )
-    .field_str("name", &entry.name)
-    .field_str("spec", &entry.spec)
-    .field_u64("job_index", entry.job_index)
-    .field_str(
-        "completed",
-        &bytes_to_hex(&nosq_wire::to_bytes(&entry.completed)),
-    );
-    if let Some(state) = &entry.state {
-        obj.field_str("state", &bytes_to_hex(state));
-    }
-    obj.finish()
-}
-
-fn bytes_to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_to_bytes(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok())
-        .collect()
 }
 
 /// Turns a recovered [`CheckpointEntry`] into an executor
@@ -359,57 +343,46 @@ enum Record {
     Checkpoint(CheckpointEntry),
 }
 
-/// Validates and decodes the record starting at `pos`; `None` on a
-/// short, corrupt, or malformed record (recovery stops there).
-fn read_record(bytes: &[u8], pos: usize) -> Option<(Record, usize)> {
-    let header = bytes.get(pos..pos + 12)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if len > MAX_RECORD {
-        return None;
-    }
-    let checksum = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let payload = bytes.get(pos + 12..pos + 12 + len as usize)?;
-    if fnv1a(payload) != checksum {
-        return None;
-    }
-    let text = std::str::from_utf8(payload).ok()?;
-    let doc = json::parse(text).ok()?;
-    let next = pos + 12 + len as usize;
-    if let Some(ckpt) = doc.get("ckpt") {
-        let fingerprint = parse_fingerprint(ckpt.as_str()?)?;
-        let name = doc.get("name")?.as_str()?.to_owned();
-        let spec = doc.get("spec")?.as_str()?.to_owned();
-        let job_index = doc.get("job_index")?.as_u64()?;
-        let completed_hex = doc.get("completed")?.as_str()?;
-        let completed: Vec<SimReport> =
-            nosq_wire::from_bytes(&hex_to_bytes(completed_hex)?).ok()?;
-        let state = match doc.get("state") {
-            Some(s) => Some(hex_to_bytes(s.as_str()?)?),
-            None => None,
-        };
-        return Some((
-            Record::Checkpoint(CheckpointEntry {
+/// Opens and decodes the record at the start of `bytes`, returning it
+/// and the bytes it spans; `None` on a short, corrupt, or malformed
+/// record (recovery stops there).
+fn read_record(bytes: &[u8]) -> Option<(Record, usize)> {
+    let opened = envelope::open_prefix(bytes).ok()?;
+    let record = decode_payload(opened.fingerprint, opened.payload).ok()?;
+    Some((record, opened.len))
+}
+
+fn decode_payload(fingerprint: u64, payload: &[u8]) -> Result<Record, WireError> {
+    let mut d = Dec::new(payload);
+    let record = match d.take_u8()? {
+        COMPLETED => {
+            let name = String::dec(&mut d)?;
+            let files = Vec::<(String, String)>::dec(&mut d)?;
+            let artifacts = files
+                .into_iter()
+                .map(|(file_name, contents)| Artifact {
+                    file_name,
+                    contents,
+                })
+                .collect();
+            Record::Completed(JournalEntry {
                 fingerprint,
                 name,
-                spec,
-                job_index,
-                completed,
-                state,
-            }),
-            next,
-        ));
-    }
-    let fingerprint = parse_fingerprint(doc.get("job")?.as_str()?)?;
-    let name = doc.get("name")?.as_str()?.to_owned();
-    let artifacts = artifacts_from_json(&doc).ok()?;
-    Some((
-        Record::Completed(JournalEntry {
+                artifacts: Arc::new(artifacts),
+            })
+        }
+        CHECKPOINT => Record::Checkpoint(CheckpointEntry {
             fingerprint,
-            name,
-            artifacts: Arc::new(artifacts),
+            name: Wire::dec(&mut d)?,
+            spec: Wire::dec(&mut d)?,
+            job_index: Wire::dec(&mut d)?,
+            completed: Wire::dec(&mut d)?,
+            state: Wire::dec(&mut d)?,
         }),
-        next,
-    ))
+        _ => return Err(WireError::Invalid("journal record tag")),
+    };
+    d.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -544,6 +517,59 @@ mod tests {
         std::fs::write(&path, b"this is not a journal file at all").unwrap();
         let err = Journal::open(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // A version-1 journal: the same header magic, then one
+        // length + FNV-1a framed JSON record.
+        let payload = br#"{"job":"0000000000000007","name":"old","artifacts":[]}"#;
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&nosq_wire::fnv1a(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        std::fs::write(&path, &v1).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            v1,
+            "refused file was modified"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn short_foreign_file_is_refused_and_left_intact() {
+        let path = scratch("notes.txt");
+        // Shorter than a header but not a torn write of one: an 11-byte
+        // text file, and a torn version-1 header.
+        for contents in [&b"hello notes"[..], &b"NOSQJRNL\x01"[..]] {
+            std::fs::write(&path, contents).unwrap();
+            let err = Journal::open(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(&path).unwrap(), contents);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_state_is_stored_raw() {
+        let path = scratch("raw-state.journal");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut entry = ckpt_entry(4, 3, true);
+        entry.state = Some((0..64 * 1024).map(|i| i as u8).collect());
+        let before = std::fs::metadata(&path).unwrap().len();
+        j.append_checkpoint(&entry).unwrap();
+        let grown = std::fs::metadata(&path).unwrap().len() - before;
+        let state = entry.state.as_ref().unwrap();
+        assert!(
+            grown < (state.len() + entry.spec.len() + 1024) as u64,
+            "a {} B state grew the journal by {grown} B",
+            state.len()
+        );
+        drop(j);
+        let (_, recovered) = Journal::open(&path).unwrap();
+        assert_eq!(recovered.partial[0].state, entry.state);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -20,9 +20,10 @@
 //!   served artifact against a local one-shot run;
 //! * [`cache`] — the fingerprint-keyed LRU over deterministic
 //!   artifacts;
-//! * [`journal`] — the length-prefixed, checksummed, fsync'd
-//!   append-only record of completed campaigns (a killed daemon
-//!   resumes without re-simulating anything it finished);
+//! * [`journal`] — the fsync'd append-only record of completed
+//!   campaigns and mid-job checkpoints, one [`nosq_wire::envelope`]
+//!   per record (a killed daemon resumes without re-simulating
+//!   anything it finished);
 //! * [`fingerprint`] — FNV-1a campaign identity: the cache key, the
 //!   journal key, and the wire job id are all the same 64-bit hash;
 //! * [`signal`] — SIGTERM/SIGINT → drain-flag plumbing (the one

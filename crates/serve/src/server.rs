@@ -422,14 +422,8 @@ fn run_one(shared: &Shared, job: QueuedJob, ctx: &mut WorkerContext) {
             .as_ref()
             .and_then(|entry| crate::journal::resume_state(&job.campaign, entry));
         let mut sink = |ev: nosq_lab::CkptEvent<'_>| {
-            let entry = CheckpointEntry {
-                fingerprint: job.fingerprint,
-                name: job.campaign.name.clone(),
-                spec: job.spec.clone(),
-                job_index: ev.job_index as u64,
-                completed: ev.completed.to_vec(),
-                state: ev.state.map(nosq_core::SimCheckpoint::to_bytes),
-            };
+            let entry =
+                CheckpointEntry::from_event(job.fingerprint, &job.campaign.name, &job.spec, &ev);
             if let Some(journal) = shared.journal.lock().expect("journal poisoned").as_mut() {
                 if let Err(e) = journal.append_checkpoint(&entry) {
                     eprintln!(

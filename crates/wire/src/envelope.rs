@@ -1,4 +1,7 @@
-//! Versioned, checksummed container for one durable payload.
+//! Versioned, checksummed container for one durable payload: a
+//! simulator checkpoint on its own, or one record of an append-only
+//! log such as the campaign journal, whose file is a header followed
+//! by envelopes laid end to end.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -12,14 +15,18 @@
 //! 28+len     8  FNV-1a over bytes[8 .. 28+len]
 //! ```
 //!
-//! [`open`] rejects truncation with an O(1) length check *before*
-//! hashing anything (an exhaustive every-prefix truncation sweep over
-//! an n-byte envelope is O(n), not O(n²)), and rejects any single-byte
-//! corruption: flips in the hashed region change the FNV-1a digest
-//! (the per-byte xor-then-odd-multiply step is a bijection on `u64`),
-//! flips in the stored checksum mismatch the recomputed one, flips in
-//! the magic fail the magic check, and flips in the length field fail
-//! the exact-length check.
+//! [`open_prefix`] opens the envelope at the front of a longer buffer
+//! and reports how many bytes it spans, so a log is walked one
+//! envelope at a time and stops at the first that fails; [`open`]
+//! additionally demands that the buffer is exactly one envelope sealed
+//! with the caller's fingerprint. Both reject truncation with an O(1)
+//! length check *before* hashing anything (an exhaustive every-prefix
+//! truncation sweep over an n-byte envelope is O(n), not O(n²)), and
+//! reject any single-byte corruption: flips in the hashed region
+//! change the FNV-1a digest (the per-byte xor-then-odd-multiply step
+//! is a bijection on `u64`), flips in the stored checksum mismatch the
+//! recomputed one, flips in the magic fail the magic check, and a
+//! declared length beyond the bytes present fails the length check.
 
 use crate::fnv1a;
 
@@ -96,12 +103,24 @@ pub fn seal(fingerprint: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates an envelope and returns a borrow of its payload.
+/// One envelope opened from the front of a buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Opened<'a> {
+    /// The fingerprint the envelope was sealed with.
+    pub fingerprint: u64,
+    /// A borrow of the payload.
+    pub payload: &'a [u8],
+    /// Bytes the whole envelope spans (`OVERHEAD + payload.len()`).
+    pub len: usize,
+}
+
+/// Validates the envelope at the start of `bytes`, which may continue
+/// past it, and returns its fingerprint, payload and length.
 ///
-/// Checks run cheapest-first: total length, magic, version, declared
-/// length against actual length, checksum, fingerprint. Truncated or
+/// Checks run cheapest-first: minimum length, magic, version, declared
+/// length against the bytes present, checksum. Truncated or
 /// bit-flipped input is rejected before any payload byte is read.
-pub fn open(bytes: &[u8], fingerprint: u64) -> Result<&[u8], EnvelopeError> {
+pub fn open_prefix(bytes: &[u8]) -> Result<Opened<'_>, EnvelopeError> {
     if bytes.len() < OVERHEAD {
         return Err(EnvelopeError::Length {
             expected: None,
@@ -115,29 +134,49 @@ pub fn open(bytes: &[u8], fingerprint: u64) -> Result<&[u8], EnvelopeError> {
     if version != VERSION {
         return Err(EnvelopeError::Version(version));
     }
-    let sealed = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let len = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let expected = (len as usize)
-        .checked_add(OVERHEAD)
-        .filter(|_| len <= usize::MAX as u64);
-    if expected != Some(bytes.len()) {
-        return Err(EnvelopeError::Length {
-            expected,
-            actual: bytes.len(),
-        });
-    }
-    let body_end = HEADER + len as usize;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
+    let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let declared = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+    let len = usize::try_from(declared)
+        .ok()
+        .and_then(|n| n.checked_add(OVERHEAD));
+    let len = match len {
+        Some(len) if len <= bytes.len() => len,
+        expected => {
+            return Err(EnvelopeError::Length {
+                expected,
+                actual: bytes.len(),
+            })
+        }
+    };
+    let body_end = len - 8;
+    let stored = u64::from_le_bytes(bytes[body_end..len].try_into().unwrap());
     if fnv1a(&bytes[8..body_end]) != stored {
         return Err(EnvelopeError::Checksum);
     }
-    if sealed != fingerprint {
+    Ok(Opened {
+        fingerprint,
+        payload: &bytes[HEADER..body_end],
+        len,
+    })
+}
+
+/// Validates that `bytes` is exactly one envelope sealed with
+/// `fingerprint` and returns a borrow of its payload.
+pub fn open(bytes: &[u8], fingerprint: u64) -> Result<&[u8], EnvelopeError> {
+    let opened = open_prefix(bytes)?;
+    if opened.len != bytes.len() {
+        return Err(EnvelopeError::Length {
+            expected: Some(opened.len),
+            actual: bytes.len(),
+        });
+    }
+    if opened.fingerprint != fingerprint {
         return Err(EnvelopeError::Fingerprint {
-            sealed,
+            sealed: opened.fingerprint,
             expected: fingerprint,
         });
     }
-    Ok(&bytes[HEADER..body_end])
+    Ok(opened.payload)
 }
 
 #[cfg(test)]
@@ -189,6 +228,31 @@ mod tests {
         sealed.push(0);
         assert!(matches!(
             open(&sealed, 1),
+            Err(EnvelopeError::Length { .. })
+        ));
+    }
+
+    #[test]
+    fn prefix_walks_concatenated_envelopes() {
+        let mut log = seal(3, b"first");
+        log.extend_from_slice(&seal(4, b""));
+        log.extend_from_slice(&seal(5, b"third")[..20]); // torn tail
+        let a = open_prefix(&log).unwrap();
+        assert_eq!(
+            (a.fingerprint, a.payload, a.len),
+            (3, &b"first"[..], OVERHEAD + 5)
+        );
+        let b = open_prefix(&log[a.len..]).unwrap();
+        assert_eq!((b.fingerprint, b.payload, b.len), (4, &b""[..], OVERHEAD));
+        assert!(open_prefix(&log[a.len + b.len..]).is_err());
+    }
+
+    #[test]
+    fn huge_declared_length_is_a_length_error() {
+        let mut sealed = seal(1, b"payload");
+        sealed[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            open_prefix(&sealed),
             Err(EnvelopeError::Length { .. })
         ));
     }

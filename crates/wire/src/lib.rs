@@ -17,19 +17,47 @@ use std::collections::BinaryHeap;
 
 pub mod envelope;
 
-/// 64-bit FNV-1a over `bytes`.
+/// 64-bit FNV-1a over `bytes`: the workspace's one checksum and
+/// fingerprint hash.
 ///
 /// The per-byte step (xor, then multiply by the odd FNV prime) is a
 /// bijection on `u64`, so any single-byte substitution anywhere in the
 /// input changes the digest — the property the [`envelope`] checksum
 /// and the corruption test matrix rely on.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    Fnv1a::new().update(bytes).finish()
+}
+
+/// Incremental [`fnv1a`]: FNV-1a is a byte-wise fold, so updating with
+/// `a` then `b` yields `fnv1a(a ‖ b)`.
+#[derive(Copy, Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Folds bytes into the running hash.
+    pub fn update(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The current hash value.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
 }
 
 /// Decode failure: the bytes do not describe a value of the requested
@@ -271,6 +299,19 @@ impl Wire for bool {
     }
 }
 
+// A string travels as its UTF-8 bytes behind a u64 length.
+impl Wire for String {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.len() as u64);
+        e.put_bytes(self.as_bytes());
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let len = usize::try_from(d.take_u64()?)
+            .map_err(|_| WireError::Invalid("string len overflow"))?;
+        String::from_utf8(d.take(len)?.to_vec()).map_err(|_| WireError::Invalid("string utf-8"))
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn enc(&self, e: &mut Enc) {
         match self {
@@ -454,6 +495,34 @@ mod tests {
         assert_eq!(to_bytes(&h1), to_bytes(&h2));
         let back: BinaryHeap<u64> = from_bytes(&to_bytes(&h1)).unwrap();
         assert_eq!(back.into_sorted_vec(), vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn strings_roundtrip_and_reject_bad_utf8() {
+        for s in ["", "ascii", "ünïcödé → ✓"] {
+            let back: String = from_bytes(&to_bytes(&s.to_owned())).unwrap();
+            assert_eq!(back, s);
+        }
+        let mut bytes = to_bytes(&"ab".to_owned());
+        bytes[8] = 0xff; // not a UTF-8 lead byte
+        assert_eq!(
+            from_bytes::<String>(&bytes),
+            Err(WireError::Invalid("string utf-8"))
+        );
+        let mut e = Enc::new();
+        e.put_u64(u64::MAX); // claims more bytes than exist
+        assert!(from_bytes::<String>(&e.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(
+            Fnv1a::new().update(b"foo").update(b"bar").finish(),
+            fnv1a(b"foobar")
+        );
     }
 
     #[test]
